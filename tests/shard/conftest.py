@@ -15,14 +15,19 @@ def engines(small_relation):
     """Shard-count -> engine over the same 2000-record relation.
 
     ``1`` is the plain single-device engine (the differential oracle);
-    2 and 4 exercise the shard pool at both even and uneven-ish splits.
+    2 and 4 exercise the shard pool at both even and uneven-ish splits;
+    ``"4-killed"`` is a 4-shard pool whose shard 1 is dead, so every
+    operation mixes three GPU shards with one CPU-recomputed shard.
     """
+    killed = GpuEngine(small_relation, shards=4)
+    killed.sharded.kill(1)
     return {
         # shards=1 pinned explicitly: the CI shard matrix exports
         # REPRO_SHARDS, and the oracle must stay single-device.
         1: GpuEngine(small_relation, shards=1),
         2: GpuEngine(small_relation, shards=2),
         4: GpuEngine(small_relation, shards=4),
+        "4-killed": killed,
     }
 
 

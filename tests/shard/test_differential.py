@@ -2,9 +2,10 @@
 
 Every (operation, column) pair runs on 2- and 4-shard pools and must
 produce exactly the single-device engine's answer — values, counts,
-record ids and error strings alike.  52 cases x 2 shard counts; the
-oracle results are memoized per case so the single engine runs each
-once.
+record ids and error strings alike.  52 cases x 3 pools (2 shards, 4
+shards, and 4 shards with shard 1 killed so it answers through the CPU
+recompute); the oracle results are memoized per case so the single
+engine runs each once.
 """
 
 import numpy as np
@@ -102,7 +103,7 @@ def oracle_results(engines):
     return lookup
 
 
-@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("shards", [2, 4, "4-killed"])
 @pytest.mark.parametrize("column", COLUMNS)
 @pytest.mark.parametrize("op", OPS)
 def test_matches_single_device(

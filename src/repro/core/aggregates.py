@@ -6,6 +6,8 @@ All of these reduce to *counting with occlusion queries*:
 * ``KthLargest`` (routine 4.5) binary-searches the value bit by bit:
   pass ``i`` counts the records ``>= x + 2**i`` and Lemma 1 decides the
   bit.  ``b_max`` passes, no data rearrangement, constant in ``k``.
+  MIN, MAX, the median, k-th smallest, quantiles and top-k are all this
+  one search (:func:`bit_search`) at a rank from :func:`order_ranks`.
 * ``Accumulator`` (routine 4.6) sums by bit-slicing:
   ``sum = Σ_i 2**i · #{records with bit i set}``, where the per-bit count
   comes from the ``TestBit`` fragment program + alpha test + occlusion
@@ -20,7 +22,9 @@ mask survives unchanged (paper sections 4.3.3 and 5.9 test 3).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +67,96 @@ def count_valid(
     return query.result(synchronous=True)
 
 
+def check_k(k: int | None, valid_count: int) -> None:
+    """Order statistics need ``1 <= k <= valid_count`` (the record count
+    after any predicate); one message across engines and entry points."""
+    if k is None or not 1 <= k <= valid_count:
+        raise QueryError(f"k={k} outside [1, {valid_count}] valid records")
+
+
+def order_ranks(
+    op: str,
+    valid_count: int,
+    *,
+    k: int | None = None,
+    fractions: list[float] | None = None,
+) -> list[int]:
+    """The rank rule: which k-th largest values an order statistic
+    asks for among ``valid_count`` selected records.
+
+    MAX is the 1st largest, MIN the ``n``-th, the median the
+    ``ceil(n/2)``-th (the paper's convention for figures 8 and 9), the
+    k-th smallest the ``(n - k + 1)``-th (duplicate-safe), and quantile
+    ``q`` the ``ceil((1 - q) * n)``-th clamped into ``[1, n]``.
+    ``kth_largest`` and ``top_k`` ask for ``k`` itself.  Raises
+    :class:`~repro.errors.QueryError` for ranks outside the selection.
+    """
+    if op in ("kth_largest", "kth_smallest", "top_k"):
+        check_k(k, valid_count)
+        return [valid_count - k + 1 if op == "kth_smallest" else k]
+    if valid_count < 1:
+        label = {"minimum": "MIN", "maximum": "MAX"}.get(op, op)
+        raise QueryError(f"{label} of an empty selection")
+    if op == "maximum":
+        return [1]
+    if op == "minimum":
+        return [valid_count]
+    if op == "median":
+        return [(valid_count + 1) // 2]
+    if op == "quantiles":
+        return [
+            min(max(math.ceil((1.0 - q) * valid_count), 1), valid_count)
+            for q in fractions or ()
+        ]
+    raise QueryError(f"{op!r} is not an order statistic")
+
+
+def bit_search(
+    bits: int, ranks: list[int], count_at_least: Callable[[int], int]
+) -> list[int]:
+    """Routine 4.5's bit-wise binary search, once per rank (MSB first).
+
+    ``count_at_least(x)`` returns how many selected records hold a
+    value ``>= x``: one occlusion-counted comparison quad on a device,
+    the sum of such counts over shards, or a host-side count.  Lemma 1
+    decides each bit from that count, so the search needs ``bits``
+    counts per rank, no data rearrangement, and is constant in ``k``.
+    """
+    results = []
+    for k in ranks:
+        x = 0
+        for i in range(bits - 1, -1, -1):
+            tentative = x + (1 << i)
+            # Lemma 1: count > k-1  =>  tentative <= v_k, keep the bit.
+            if count_at_least(tentative) > k - 1:
+                x = tentative
+        results.append(x)
+    return results
+
+
+def count_geq(
+    device: Device, texture: Texture, bits: int, tentative: int
+) -> int:
+    """One counted ``GEQUAL`` quad against the depth-resident attribute:
+    the number of valid records whose value is ``>= tentative``.  The
+    count is retrieved synchronously (the next bit depends on it)."""
+    query = device.begin_query()
+    # attribute >= tentative  <=>  tentative <= attribute
+    compare_pass(
+        device, CompareFunc.GEQUAL, tentative / float(1 << bits),
+        texture.count,
+    )
+    device.end_query()
+    return query.result(synchronous=True)
+
+
+def arm_search(device: Device, valid_stencil: int | None) -> None:
+    """Counting state for the search quads: color writes off, and only
+    records whose stencil equals ``valid_stencil`` counted."""
+    device.state.color_mask = (False, False, False, False)
+    _configure_valid_stencil(device, valid_stencil)
+
+
 def kth_largest(
     device: Device,
     texture: Texture,
@@ -71,152 +165,21 @@ def kth_largest(
     scale: float,
     channel: int = 0,
     valid_stencil: int | None = None,
-    skip_copy: bool = False,
 ) -> int:
     """Routine 4.5: the k-th largest value of a ``bits``-bit integer
     attribute, via ``bits`` counting passes (MSB first).
 
     Returns the integer value.  ``k`` counts from 1 (the maximum).
     The attribute is copied to the depth buffer once; each pass renders
-    one comparison quad at the tentative value and retrieves its
-    occlusion count synchronously (the next bit depends on it).
-    ``skip_copy=True`` asserts the attribute already sits in the depth
-    buffer (the engine's plan cache proved it) and elides the copy.
+    one comparison quad at the tentative value (:func:`bit_search`).
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
-    device.state.color_mask = (False, False, False, False)
-    if not skip_copy:
-        copy_to_depth(device, texture, scale, channel=channel)
-    _configure_valid_stencil(device, valid_stencil)
-
-    denominator = float(1 << bits)
-    x = 0
-    for i in range(bits - 1, -1, -1):
-        tentative = x + (1 << i)
-        query = device.begin_query()
-        # attribute >= tentative  <=>  tentative <= attribute
-        compare_pass(
-            device, CompareFunc.GEQUAL, tentative / denominator,
-            texture.count,
-        )
-        device.end_query()
-        # Lemma 1: count > k-1  =>  tentative <= v_k, keep the bit.
-        if query.result(synchronous=True) > k - 1:
-            x = tentative
-    return x
-
-
-def kth_largest_multi(
-    device: Device,
-    texture: Texture,
-    bits: int,
-    ks: list[int],
-    scale: float,
-    channel: int = 0,
-    valid_stencil: int | None = None,
-    skip_copy: bool = False,
-) -> list[int]:
-    """Routine 4.5 for several k at once, sharing one depth copy.
-
-    The attribute is copied to the depth buffer once; each k then costs
-    only its ``bits`` comparison passes.  This is how quantile ladders
-    (p50/p90/p99...) amortize the paper's dominant copy cost.
-    """
-    if not ks:
-        raise QueryError("kth_largest_multi() needs at least one k")
-    if any(k < 1 for k in ks):
-        raise QueryError(f"every k must be >= 1, got {ks}")
-    device.state.color_mask = (False, False, False, False)
-    if not skip_copy:
-        copy_to_depth(device, texture, scale, channel=channel)
-    _configure_valid_stencil(device, valid_stencil)
-
-    denominator = float(1 << bits)
-    results = []
-    for k in ks:
-        x = 0
-        for i in range(bits - 1, -1, -1):
-            tentative = x + (1 << i)
-            query = device.begin_query()
-            compare_pass(
-                device,
-                CompareFunc.GEQUAL,
-                tentative / denominator,
-                texture.count,
-            )
-            device.end_query()
-            if query.result(synchronous=True) > k - 1:
-                x = tentative
-        results.append(x)
-    return results
-
-
-def kth_smallest(
-    device: Device,
-    texture: Texture,
-    bits: int,
-    k: int,
-    scale: float,
-    valid_count: int,
-    channel: int = 0,
-    valid_stencil: int | None = None,
-    skip_copy: bool = False,
-) -> int:
-    """The k-th smallest value: the (n - k + 1)-th largest, which is
-    duplicate-safe (the paper inverts the comparison; complementing k is
-    the equivalent order-statistics identity)."""
-    if not 1 <= k <= valid_count:
-        raise QueryError(
-            f"k={k} outside [1, {valid_count}] valid records"
-        )
-    return kth_largest(
-        device,
-        texture,
-        bits,
-        valid_count - k + 1,
-        scale,
-        channel=channel,
-        valid_stencil=valid_stencil,
-        skip_copy=skip_copy,
-    )
-
-
-def maximum(
-    device, texture, bits, scale, channel=0, valid_stencil=None,
-    skip_copy=False,
-):
-    """MAX = the 1st largest (section 4.3.2)."""
-    return kth_largest(
-        device, texture, bits, 1, scale,
-        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
-    )
-
-
-def minimum(
-    device, texture, bits, scale, valid_count, channel=0, valid_stencil=None,
-    skip_copy=False,
-):
-    """MIN = the ``valid_count``-th largest."""
-    return kth_largest(
-        device, texture, bits, valid_count, scale,
-        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
-    )
-
-
-def median(
-    device, texture, bits, scale, valid_count, channel=0, valid_stencil=None,
-    skip_copy=False,
-):
-    """The ceil(n/2)-th largest value (the paper's median convention for
-    figures 8 and 9)."""
-    if valid_count < 1:
-        raise QueryError("median of an empty selection")
-    k = (valid_count + 1) // 2
-    return kth_largest(
-        device, texture, bits, k, scale,
-        channel=channel, valid_stencil=valid_stencil, skip_copy=skip_copy,
-    )
+    copy_to_depth(device, texture, scale, channel=channel)
+    arm_search(device, valid_stencil)
+    return bit_search(
+        bits, [k], lambda x: count_geq(device, texture, bits, x)
+    )[0]
 
 
 @lru_cache(maxsize=8)
@@ -282,25 +245,6 @@ def accumulate(
         synchronous = i == len(queries) - 1
         total += query.result(synchronous=synchronous) << i
     return total
-
-
-def average(
-    device: Device,
-    texture: Texture,
-    bits: int,
-    channel: int = 0,
-    valid_stencil: int | None = None,
-) -> float:
-    """AVG = SUM / COUNT (section 4.3.3)."""
-    selected = count_valid(
-        device, texture.count, valid_stencil=valid_stencil
-    )
-    if selected == 0:
-        raise QueryError("AVG of an empty selection")
-    total = accumulate(
-        device, texture, bits, channel=channel, valid_stencil=valid_stencil
-    )
-    return total / selected
 
 
 def mipmap_sum(texture: Texture, channel: int = 0) -> tuple[float, int]:

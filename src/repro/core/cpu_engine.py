@@ -23,6 +23,7 @@ from ..cpu.quickselect import quickselect as hoare_quickselect
 from ..cpu.cost import CpuCostModel
 from ..errors import QueryError
 from ..trace import current_tracer
+from .aggregates import check_k, order_ranks
 from .polynomial import Polynomial
 from .predicates import (
     And,
@@ -143,13 +144,6 @@ class CpuEngine:
             self.tracer.end(span, modeled_ms=result.modeled_ms)
         return result
 
-    @staticmethod
-    def _validate_k(k: int, valid_count: int) -> None:
-        if not 1 <= k <= valid_count:
-            raise QueryError(
-                f"k={k} outside [1, {valid_count}] valid records"
-            )
-
     # -- selection ---------------------------------------------------------------
 
     def select(self, predicate: Predicate) -> CpuSelection:
@@ -179,15 +173,18 @@ class CpuEngine:
 
     # -- helpers -----------------------------------------------------------------------
 
-    def _column_values(
-        self, column_name: str, predicate: Predicate | None
-    ) -> tuple[np.ndarray, float, int]:
-        """Selected values, the selectivity, and total records scanned.
+    def column_mask(
+        self, column_name: str, predicate: Predicate | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A column's values and the predicate's row mask (all true
+        without a predicate).
 
-        Bit-sliceable columns (integer / fixed-point) are returned in
-        their *stored* integer domain so order statistics and sums use
+        Bit-sliceable columns (integer / fixed-point) come back in their
+        *stored* integer domain, so order statistics and sums use
         exactly the arithmetic the GPU's bit-sliced algorithms use;
-        callers map results back with ``_from_stored``.
+        callers map results back with ``_from_stored``.  This is also
+        the host mirror a degraded shard searches instead of its depth
+        copy and stencil mask.
         """
         column = self.relation.column(column_name)
         if column.supports_bit_slicing:
@@ -195,13 +192,19 @@ class CpuEngine:
         else:
             values = column.values
         if predicate is None:
-            return values, 1.0, self.relation.num_records
-        selection = self.select(predicate)
-        return (
-            values[selection.mask],
-            selection.selectivity,
-            self.relation.num_records,
-        )
+            return values, np.ones(values.size, dtype=bool)
+        return values, self.select(predicate).mask
+
+    def _column_values(
+        self, column_name: str, predicate: Predicate | None
+    ) -> tuple[np.ndarray, float, int]:
+        """Selected values, the selectivity, and total records scanned."""
+        values, mask = self.column_mask(column_name, predicate)
+        records = self.relation.num_records
+        if predicate is None:
+            return values, 1.0, records
+        selected = values[mask]
+        return selected, selected.size / records if records else 0.0, records
 
     def _from_stored(self, column_name: str, stored):
         column = self.relation.column(column_name)
@@ -234,39 +237,59 @@ class CpuEngine:
 
     # -- order statistics ------------------------------------------------------------------
 
-    def kth_largest(
-        self, column_name: str, k: int, predicate: Predicate | None = None
+    def _order_statistic(
+        self,
+        op: str,
+        column_name: str,
+        predicate: Predicate | None,
+        *,
+        k: int | None = None,
+        fractions: list[float] | None = None,
     ) -> CpuOpResult:
-        self._validate_k(k, self.relation.num_records)
-        span = self._begin("kth_largest", column=column_name, k=k)
+        """QuickSelect at the ranks :func:`order_ranks` picks."""
+        attrs: dict = {"column": column_name}
+        if k is not None:
+            check_k(k, self.relation.num_records)
+            attrs["k"] = k
+        if fractions is not None:
+            attrs["fractions"] = list(fractions)
+        span = self._begin(op, **attrs)
         values, selectivity, records = self._column_values(
             column_name, predicate
         )
-        self._validate_k(k, values.size)
-        value = self._select_kth(values, k)
+        ranks = order_ranks(op, values.size, k=k, fractions=fractions)
+        out = [
+            self._from_stored(
+                column_name, int(self._select_kth(values, rank))
+            )
+            for rank in ranks
+        ]
+        # A ladder is priced rank by rank; a single statistic by its k.
+        priced = ranks if fractions is not None else [k]
+        modeled = sum(
+            self._order_statistic_cost(
+                records, selectivity, predicate, rank
+            )
+            for rank in priced
+        )
         return self._finish(span, CpuOpResult(
-            value=self._from_stored(column_name, int(value)),
-            modeled_s=self._order_statistic_cost(
-                records, selectivity, predicate, k
-            ),
+            value=out if fractions is not None else out[0],
+            modeled_s=modeled,
         ))
+
+    def kth_largest(
+        self, column_name: str, k: int, predicate: Predicate | None = None
+    ) -> CpuOpResult:
+        return self._order_statistic(
+            "kth_largest", column_name, predicate, k=k
+        )
 
     def kth_smallest(
         self, column_name: str, k: int, predicate: Predicate | None = None
     ) -> CpuOpResult:
-        self._validate_k(k, self.relation.num_records)
-        span = self._begin("kth_smallest", column=column_name, k=k)
-        values, selectivity, records = self._column_values(
-            column_name, predicate
+        return self._order_statistic(
+            "kth_smallest", column_name, predicate, k=k
         )
-        self._validate_k(k, values.size)
-        value = self._select_kth(values, values.size - k + 1)
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(column_name, int(value)),
-            modeled_s=self._order_statistic_cost(
-                records, selectivity, predicate, k
-            ),
-        ))
 
     def maximum(self, column_name, predicate=None) -> CpuOpResult:
         span = self._begin("maximum", column=column_name)
@@ -293,20 +316,7 @@ class CpuEngine:
         ))
 
     def median(self, column_name, predicate=None) -> CpuOpResult:
-        span = self._begin("median", column=column_name)
-        values, selectivity, records = self._column_values(
-            column_name, predicate
-        )
-        if values.size == 0:
-            raise QueryError("median of an empty selection")
-        k = (values.size + 1) // 2
-        value = self._select_kth(values, k)
-        return self._finish(span, CpuOpResult(
-            value=self._from_stored(column_name, int(value)),
-            modeled_s=self._order_statistic_cost(
-                records, selectivity, predicate
-            ),
-        ))
+        return self._order_statistic("median", column_name, predicate)
 
     def top_k(
         self, column_name: str, k: int, predicate: Predicate | None = None
@@ -316,23 +326,12 @@ class CpuEngine:
         ``threshold`` and ``record_ids`` attributes."""
         from .engine import TopK
 
-        column = self.relation.column(column_name)
-        self._validate_k(k, self.relation.num_records)
+        check_k(k, self.relation.num_records)
         span = self._begin("top_k", column=column_name, k=k)
-        if column.supports_bit_slicing:
-            values = column.stored_values()
-        else:
-            values = column.values
-        if predicate is None:
-            mask = np.ones(values.size, dtype=bool)
-            selectivity = 1.0
-        else:
-            selection = self.select(predicate)
-            mask = selection.mask
-            selectivity = selection.selectivity
+        values, mask = self.column_mask(column_name, predicate)
         selected = values[mask]
-        self._validate_k(k, selected.size)
-        threshold = int(self._select_kth(selected, k))
+        (rank,) = order_ranks("top_k", selected.size, k=k)
+        threshold = int(self._select_kth(selected, rank))
         ids = np.flatnonzero(mask & (values >= threshold))
         return self._finish(span, CpuOpResult(
             value=TopK(
@@ -340,7 +339,10 @@ class CpuEngine:
                 record_ids=ids,
             ),
             modeled_s=self._order_statistic_cost(
-                self.relation.num_records, selectivity, predicate, k
+                self.relation.num_records,
+                selected.size / self.relation.num_records,
+                predicate,
+                k,
             ),
         ))
 
@@ -352,38 +354,14 @@ class CpuEngine:
     ) -> CpuOpResult:
         """Quantile ladder (CPU twin of
         :meth:`~repro.core.engine.GpuEngine.quantiles`)."""
-        import math
-
-        span = self._begin(
-            "quantiles", column=column_name, fractions=list(fractions)
-        )
-        values, selectivity, records = self._column_values(
-            column_name, predicate
-        )
         if not fractions:
             raise QueryError("quantiles() needs at least one fraction")
         if any(not 0.0 <= q <= 1.0 for q in fractions):
             raise QueryError(
                 f"fractions must lie in [0, 1], got {fractions}"
             )
-        if values.size == 0:
-            raise QueryError("quantiles of an empty selection")
-        out = []
-        modeled = 0.0
-        for q in fractions:
-            k = min(
-                max(math.ceil((1.0 - q) * values.size), 1), values.size
-            )
-            out.append(
-                self._from_stored(
-                    column_name, int(self._select_kth(values, k))
-                )
-            )
-            modeled += self._order_statistic_cost(
-                records, selectivity, predicate, k
-            )
-        return self._finish(
-            span, CpuOpResult(value=out, modeled_s=modeled)
+        return self._order_statistic(
+            "quantiles", column_name, predicate, fractions=fractions
         )
 
     def selectivities(self, predicates) -> CpuOpResult:
@@ -413,6 +391,9 @@ class CpuEngine:
     ) -> CpuOpResult:
         """Bucketed value counts with the same integer edges as the GPU
         histogram.  ``value`` is ``(edges, counts)``."""
+        # Runtime import: repro.plan reaches back into repro.core.
+        from ..plan.compiler import histogram_edges
+
         column = self.relation.column(column_name)
         if not column.is_integer:
             raise QueryError("histogram requires an integer column")
@@ -420,17 +401,7 @@ class CpuEngine:
             raise QueryError(f"need at least one bucket, got {buckets}")
         span = self._begin("histogram", column=column_name,
                            buckets=buckets)
-        # Same value-domain edges as the GPU histogram: [lo, lo+2**bits)
-        # (lo = -bias for bias-encoded signed columns).
-        lo = int(column.lo)
-        top = lo + (1 << column.bits)
-        edges = np.unique(
-            np.floor(np.linspace(lo, top, buckets + 1)).astype(
-                np.int64
-            )
-        )
-        if edges[-1] != top:
-            edges[-1] = top
+        edges = histogram_edges(column, buckets)
         counts, _bins = np.histogram(
             column.values.astype(np.int64), bins=edges
         )

@@ -24,13 +24,8 @@ import os
 import numpy as np
 
 from ..analysis.race import ensure_installed, sanitizer_requested
-from ..errors import (
-    GpuError,
-    QueryError,
-    QueryTimeoutError,
-    StaleSelectionError,
-)
-from ..faults import current_executor
+from ..errors import QueryError, StaleSelectionError
+from ..faults import current_executor, run_guarded
 from ..gpu.context import ContextScheduler, VirtualContext
 from ..gpu.cost import GpuCostModel, GpuTime
 from ..gpu.counters import PipelineStats
@@ -40,6 +35,7 @@ from ..gpu.texture import Texture, texture_shape_for
 from ..plan.cache import PlanCache
 from ..plan.passes import predicate_key
 from ..trace import current_tracer
+from .aggregates import check_k
 from .compare import copy_to_depth
 from .polynomial import Polynomial
 from .predicates import (
@@ -58,13 +54,15 @@ _COPY_PREFIX = "copy-to-depth"
 
 
 def _resilient(method):
-    """Route an engine operation through the attached
-    :class:`~repro.faults.ResilientExecutor` (transient GPU faults are
-    retried; each attempt re-runs the operation from scratch).
+    """Run an engine operation through
+    :func:`~repro.faults.run_guarded`: every attempt aborts any dangling
+    occlusion query and a failed one drops the plan cache; an attached
+    :class:`~repro.faults.ResilientExecutor` retries transient faults
+    (each attempt re-runs the operation from scratch).
 
     Operations delegating to other operations (``count`` -> ``select``)
-    retry only at the outermost call, so the attempt budget is the
-    policy's, not its square.
+    are guarded only at the outermost call, so the attempt budget is
+    the policy's, not its square.
     """
     name = method.__name__
 
@@ -81,46 +79,16 @@ def _resilient(method):
             op_name = args[0].op if args else name
         else:
             op_name = name
-        executor = self.executor
-        if executor is None:
-            try:
-                return method(self, *args, **kwargs)
-            except GpuError:
-                # A fault may have interrupted a pass mid-write; none of
-                # the cached depth/stencil outcomes can be trusted.
-                self.plan.invalidate()
-                raise
-            except QueryTimeoutError:
-                # A deadline expiring mid-operation abandons the op at
-                # a pass boundary: discard any in-flight occlusion
-                # query and the now-unfinished cached outcomes.
-                self.device.abort_query()
-                self.plan.invalidate()
-                raise
-
-        def attempt():
-            # A fault can interrupt a pass mid-query; every attempt
-            # starts from clean device state or the re-render would
-            # trip over the dangling occlusion query.
-            self.device.abort_query()
-            try:
-                return method(self, *args, **kwargs)
-            except GpuError:
-                # Retries must start cold: a half-written buffer whose
-                # generation did not advance would otherwise satisfy a
-                # cache lookup on the next attempt.
-                self.plan.invalidate()
-                raise
-            except QueryTimeoutError:
-                # Not a device fault: the executor will not retry it,
-                # but the abandoned operation still needs cleanup.
-                self.device.abort_query()
-                self.plan.invalidate()
-                raise
-
         self._in_resilient_op = True
         try:
-            return executor.run(attempt, op=op_name, tracer=self.tracer)
+            return run_guarded(
+                lambda: method(self, *args, **kwargs),
+                device=self.device,
+                executor=self.executor,
+                invalidate=self.invalidate_plan_cache,
+                op=op_name,
+                tracer=self.tracer,
+            )
         finally:
             self._in_resilient_op = False
 
@@ -742,14 +710,6 @@ class GpuEngine:
         else:
             self._op_span = None
 
-    def _validate_k(self, k: int, valid_count: int) -> None:
-        """Order statistics need 1 <= k <= (record count after any
-        predicate); one message format across engines and entry points."""
-        if not 1 <= k <= valid_count:
-            raise QueryError(
-                f"k={k} outside [1, {valid_count}] valid records"
-            )
-
     def _finish(self, value) -> GpuOpResult:
         copy, compute = split_copy_stats(self.device.stats.snapshot())
         self.device.stats.reset()
@@ -927,7 +887,7 @@ class GpuEngine:
         if op in ("kth_largest", "kth_smallest", "top_k"):
             if k is None:
                 raise QueryError(f"aggregate {op!r} needs k")
-            self._validate_k(k, self.relation.num_records)
+            check_k(k, self.relation.num_records)
         if op == "quantiles":
             if not fractions:
                 raise QueryError(

@@ -82,10 +82,13 @@ def partition_select(values: np.ndarray, k: int) -> float:
 def median(values: np.ndarray, vectorized: bool = True) -> float:
     """The paper's median convention: the ceil(n/2)-th largest element
     (a single order statistic, not the two-element average)."""
+    # Runtime import: repro.core builds on this CPU baseline.
+    from ..core.aggregates import order_ranks
+
     data = np.asarray(values).ravel()
     if data.size == 0:
         raise QueryError("cannot take the median of an empty array")
-    k = (data.size + 1) // 2
+    (k,) = order_ranks("median", data.size)
     if vectorized:
         return partition_select(data, k)
     return quickselect(data, k)

@@ -71,6 +71,7 @@ from .resilience import (
     RetryPolicy,
     SimClock,
     WallClock,
+    run_guarded,
 )
 
 __all__ = [
@@ -98,6 +99,7 @@ __all__ = [
     "current_deadline",
     "current_executor",
     "maybe_inject",
+    "run_guarded",
     "set_deadline",
     "set_executor",
     "set_plan",

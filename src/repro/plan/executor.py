@@ -26,7 +26,6 @@ passed.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -57,11 +56,11 @@ class ScheduleExecutor:
         "count": "_run_count",
         "sum": "_run_sum_average",
         "average": "_run_sum_average",
-        "quantiles": "_run_quantiles",
-        "kth_largest": "_run_bit_search",
-        "kth_smallest": "_run_bit_search",
-        "minimum": "_run_bit_search",
-        "median": "_run_bit_search",
+        "quantiles": "_run_search",
+        "kth_largest": "_run_search",
+        "kth_smallest": "_run_search",
+        "minimum": "_run_search",
+        "median": "_run_search",
         "top_k": "_run_top_k",
         "selectivities": "_run_selectivities",
         "histogram": "_run_histogram",
@@ -172,89 +171,55 @@ class ScheduleExecutor:
             value = value / valid_count
         return engine._finish(value)
 
-    def _run_quantiles(self, schedule: PassSchedule) -> Any:
-        from ..core import aggregates
-
-        engine = self.engine
-        column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
-        fractions = schedule.payload["fractions"]
-        column = engine.relation.column(column_name)
-        texture, scale, channel = engine.column_texture(column_name)
-        engine._begin(
-            "quantiles", column=column_name,
-            fractions=list(fractions),
-        )
-        valid, valid_count = engine._selection_stencil(predicate)
-        if valid_count == 0:
-            raise QueryError("quantiles of an empty selection")
-        ks = [
-            min(
-                max(math.ceil((1.0 - q) * valid_count), 1),
-                valid_count,
-            )
-            for q in fractions
-        ]
-        skip = engine._depth_ready(column_name, texture)
-        values = aggregates.kth_largest_multi(
-            engine.device, texture, column.bits, ks, scale,
-            channel=channel, valid_stencil=valid, skip_copy=skip,
-        )
-        if not skip:
-            engine.plan.depth.note(engine.device, column_name, texture)
-        return engine._finish(
-            [column.from_stored(value) for value in values]
-        )
-
-    def _run_bit_search(self, schedule: PassSchedule) -> Any:
+    def _run_search(self, schedule: PassSchedule) -> Any:
+        """Every order statistic: routine 4.5's bit search at the ranks
+        :func:`~repro.core.aggregates.order_ranks` picks, sharing one
+        (cache-aware) depth copy across a quantile ladder."""
         from ..core import aggregates
 
         engine = self.engine
         op = schedule.op
         column_name = schedule.payload["column"]
-        predicate = schedule.payload.get("predicate")
         k = schedule.payload.get("k")
+        fractions = schedule.payload.get("fractions")
         column = engine.relation.column(column_name)
-        texture, scale, channel = engine.column_texture(column_name)
-        attrs = {"column": column_name}
-        if op in ("kth_largest", "kth_smallest"):
+        # Make the texture resident before the stats window opens.
+        engine.column_texture(column_name)
+        attrs: dict[str, Any] = {"column": column_name}
+        if k is not None:
             attrs["k"] = k
+        if op == "quantiles":
+            attrs["fractions"] = list(fractions)
         engine._begin(op, **attrs)
-        valid, valid_count = engine._selection_stencil(predicate)
-        if op in ("kth_largest", "kth_smallest"):
-            engine._validate_k(k, valid_count)
-        elif valid_count == 0:
-            raise QueryError(
-                "MIN of an empty selection" if op == "minimum"
-                else "median of an empty selection"
-            )
-        skip = engine._depth_ready(column_name, texture)
-        if op == "kth_largest":
-            value = aggregates.kth_largest(
-                engine.device, texture, column.bits, k, scale,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        elif op == "kth_smallest":
-            value = aggregates.kth_smallest(
-                engine.device, texture, column.bits, k, scale,
-                valid_count,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        elif op == "minimum":
-            value = aggregates.minimum(
-                engine.device, texture, column.bits, scale,
-                valid_count,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        else:
-            value = aggregates.median(
-                engine.device, texture, column.bits, scale,
-                valid_count,
-                channel=channel, valid_stencil=valid, skip_copy=skip,
-            )
-        if not skip:
-            engine.plan.depth.note(engine.device, column_name, texture)
-        return engine._finish(column.from_stored(value))
+        valid, valid_count = engine._selection_stencil(
+            schedule.payload.get("predicate")
+        )
+        ranks = aggregates.order_ranks(
+            op, valid_count, k=k, fractions=fractions
+        )
+        values = [
+            column.from_stored(value)
+            for value in self._bit_search(column_name, valid, ranks)
+        ]
+        return engine._finish(values if op == "quantiles" else values[0])
+
+    def _bit_search(
+        self, column_name: str, valid: int | None, ranks: list[int]
+    ) -> list[int]:
+        """Route the attribute to the depth buffer (unless the plan
+        cache proves it is there), then run the bit search with one
+        counted ``GEQUAL`` quad per probe."""
+        from ..core import aggregates
+
+        engine = self.engine
+        device = engine.device
+        texture, _scale, _channel = engine.ensure_depth(column_name)
+        aggregates.arm_search(device, valid)
+        bits = engine.relation.column(column_name).bits
+        return aggregates.bit_search(
+            bits, ranks,
+            lambda x: aggregates.count_geq(device, texture, bits, x),
+        )
 
     def _run_top_k(self, schedule: PassSchedule) -> Any:
         from ..core import aggregates
@@ -266,10 +231,10 @@ class ScheduleExecutor:
         predicate = schedule.payload.get("predicate")
         k = schedule.payload["k"]
         column = engine.relation.column(column_name)
-        texture, scale, channel = engine.column_texture(column_name)
+        texture, _scale, _channel = engine.column_texture(column_name)
         engine._begin("top_k", column=column_name, k=k)
         valid, valid_count = engine._selection_stencil(predicate)
-        engine._validate_k(k, valid_count)
+        ranks = aggregates.order_ranks("top_k", valid_count, k=k)
         if valid is None:
             # The executor is the engine's execution arm: this runs
             # under the engine's active context exactly as the old
@@ -277,13 +242,7 @@ class ScheduleExecutor:
             # repro-lint: disable=unscheduled-stencil-write
             engine.device.clear_stencil(1)
             valid = 1
-        skip = engine._depth_ready(column_name, texture)
-        threshold = aggregates.kth_largest(
-            engine.device, texture, column.bits, k, scale,
-            channel=channel, valid_stencil=valid, skip_copy=skip,
-        )
-        if not skip:
-            engine.plan.depth.note(engine.device, column_name, texture)
+        (threshold,) = self._bit_search(column_name, valid, ranks)
         threshold_value = column.from_stored(threshold)
         # Mark records (valid AND value >= threshold): valid -> valid+1.
         stencil = engine.device.state.stencil

@@ -28,12 +28,13 @@ import numpy as np
 
 from .core import aggregates
 from .core.column import Column
+from .core.cpu_engine import CpuEngine
 from .core.engine import split_copy_stats
 from .core.predicates import Predicate
 from .core.relation import Relation
 from .core.select import execute_selection
 from .errors import DataError, GpuError, QueryError
-from .faults import current_executor
+from .faults import current_executor, run_guarded
 from .gpu.cost import GpuCostModel, GpuTime
 from .gpu.pipeline import Device
 from .gpu.texture import Texture, texture_shape_for
@@ -240,14 +241,13 @@ class StreamEngine:
             # Ring writes are idempotent (total_appended advances only
             # afterwards), so a transient upload fault simply re-writes
             # the same slots.
-            if self.executor is None:
-                self._write_ring(arrays, size)
-            else:
-                self.executor.run(
-                    lambda: self._write_ring(arrays, size),
-                    op="stream_append",
-                    tracer=self.device.tracer,
-                )
+            run_guarded(
+                lambda: self._write_ring(arrays, size),
+                device=self.device,
+                executor=self.executor,
+                op="stream_append",
+                tracer=self.device.tracer,
+            )
             self.total_appended += size
         results, degraded = self._evaluate()
         window = self.device.stats.snapshot()
@@ -345,22 +345,17 @@ class StreamEngine:
             return {name: None for name in self._queries}, degraded
         relation = self.window_relation()
         for name, query in self._queries.items():
-            if self.executor is None:
-                results[name] = self._evaluate_one(query, relation)
-                continue
-            def attempt(q=query):
-                # Start every attempt from clean device state — a
-                # fault can leave a dangling occlusion query behind.
-                self.device.abort_query()
-                return self._evaluate_one(q, relation)
-
             try:
-                results[name] = self.executor.run(
-                    attempt,
+                results[name] = run_guarded(
+                    lambda q=query: self._evaluate_one(q, relation),
+                    device=self.device,
+                    executor=self.executor,
                     op=f"stream:{name}",
                     tracer=self.device.tracer,
                 )
             except GpuError as error:
+                if self.executor is None:
+                    raise
                 # Degrade this query alone: recompute host-side from
                 # the window copy; the other queries proceed on GPU.
                 self.executor.stats.record_fallback(f"stream:{name}")
@@ -371,112 +366,65 @@ class StreamEngine:
                         error=type(error).__name__,
                         detail=str(error),
                     )
-                results[name] = self._evaluate_one_cpu(query, relation)
+                results[name] = self._recompute(query, relation)
                 degraded[name] = f"{type(error).__name__}: {error}"
         return results, degraded
 
+    @staticmethod
+    def _trivial(query: ContinuousQuery, valid_count: int, window: int):
+        """``(True, answer)`` when the selection's size alone answers the
+        query: counts and selectivities, and ``None`` for an empty
+        selection or ``k`` beyond it; ``(False, None)`` otherwise."""
+        if query.kind == "count":
+            return True, valid_count
+        if query.kind == "selectivity":
+            return True, valid_count / window
+        if valid_count == 0 or (
+            query.kind == "kth_largest" and query.k > valid_count
+        ):
+            return True, None
+        return False, None
+
     def _evaluate_one(self, query: ContinuousQuery, relation: Relation):
         device = self.device
-        window = self.window_size
         valid = None
-        valid_count = window
+        valid_count = self.window_size
         if query.predicate is not None:
             outcome = execute_selection(
                 device, relation, self, query.predicate
             )
             valid = outcome.valid_stencil
             valid_count = outcome.count
-
-        if query.kind == "count":
-            return valid_count
-        if query.kind == "selectivity":
-            return valid_count / window
-        if valid_count == 0:
-            return None
+        done, answer = self._trivial(query, valid_count, self.window_size)
+        if done:
+            return answer
 
         meta = self.schema[query.column]
         texture, scale, channel = self.column_texture(query.column)
-        if query.kind == "sum":
-            return aggregates.accumulate(
-                device, texture, meta.bits,
-                channel=channel, valid_stencil=valid,
-            )
-        if query.kind == "average":
+        if query.kind in ("sum", "average"):
             total = aggregates.accumulate(
                 device, texture, meta.bits,
                 channel=channel, valid_stencil=valid,
             )
-            return total / valid_count
-        if query.kind == "maximum":
-            return aggregates.maximum(
-                device, texture, meta.bits, scale,
-                channel=channel, valid_stencil=valid,
-            )
-        if query.kind == "minimum":
-            return aggregates.minimum(
-                device, texture, meta.bits, scale, valid_count,
-                channel=channel, valid_stencil=valid,
-            )
-        if query.kind == "median":
-            return aggregates.median(
-                device, texture, meta.bits, scale, valid_count,
-                channel=channel, valid_stencil=valid,
-            )
-        # kth_largest
-        if query.k > valid_count:
-            return None
+            return total if query.kind == "sum" else total / valid_count
+        (rank,) = aggregates.order_ranks(
+            query.kind, valid_count, k=query.k
+        )
         return aggregates.kth_largest(
-            device, texture, meta.bits, query.k, scale,
+            device, texture, meta.bits, rank, scale,
             channel=channel, valid_stencil=valid,
         )
 
-    def _evaluate_one_cpu(
-        self, query: ContinuousQuery, relation: Relation
-    ):
-        """Host-side recomputation of one query from the window copy.
-
-        Window columns are unsigned integers (stored == value), so the
-        GPU conventions reduce to plain numpy: the k-th largest is
-        ``partition(values, n - k)[n - k]`` and the median is the
-        ceil(n/2)-th largest — identical to what the rendering passes
-        converge to.
-        """
-        window = self.window_size
-        if query.predicate is not None:
-            mask = query.predicate.mask(relation)
-            valid_count = int(mask.sum())
-        else:
-            mask = None
-            valid_count = window
-
-        if query.kind == "count":
-            return valid_count
-        if query.kind == "selectivity":
-            return valid_count / window
-        if valid_count == 0:
-            return None
-
-        values = np.asarray(
-            relation.column(query.column).values, dtype=np.int64
-        )
-        if mask is not None:
-            values = values[mask]
-
-        def kth_largest(k: int) -> int:
-            index = values.size - k
-            return int(np.partition(values, index)[index])
-
-        if query.kind == "sum":
-            return int(values.sum())
-        if query.kind == "average":
-            return int(values.sum()) / valid_count
-        if query.kind == "maximum":
-            return int(values.max())
-        if query.kind == "minimum":
-            return int(values.min())
-        if query.kind == "median":
-            return kth_largest((valid_count + 1) // 2)
-        # kth_largest
-        if query.k > valid_count:
-            return None
-        return kth_largest(query.k)
+    def _recompute(self, query: ContinuousQuery, relation: Relation):
+        """Host-side answer from the window copy: a
+        :class:`~repro.core.cpu_engine.CpuEngine` over the window, under
+        the same result conventions as :meth:`_evaluate_one`."""
+        cpu = CpuEngine(relation)
+        valid_count = cpu.count(query.predicate).value
+        done, answer = self._trivial(query, valid_count, self.window_size)
+        if done:
+            return answer
+        method = getattr(cpu, query.kind)
+        if query.kind == "kth_largest":
+            return method(query.column, query.k, query.predicate).value
+        return method(query.column, query.predicate).value

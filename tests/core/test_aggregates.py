@@ -1,4 +1,5 @@
-"""Section 4.3 aggregations: KthLargest, Accumulator, COUNT, AVG."""
+"""Section 4.3 aggregations: KthLargest, the rank rule, Accumulator,
+COUNT."""
 
 import numpy as np
 import pytest
@@ -94,35 +95,107 @@ class TestKthLargest:
         )
 
 
+def _order_statistic(device, texture, op, bits, scale, valid_count, k=None):
+    """An order statistic the way every engine computes one: the rank
+    rule picks the k-th largest, routine 4.5 finds it."""
+    (rank,) = aggregates.order_ranks(op, valid_count, k=k)
+    return aggregates.kth_largest(device, texture, bits, rank, scale)
+
+
 class TestOrderStatisticWrappers:
     def test_min_max_median(self):
         values = np.array([4, 9, 1, 6, 6])
         device, texture = _setup(values)
-        assert aggregates.maximum(device, texture, 4, 1 / 16) == 9
-        assert (
-            aggregates.minimum(device, texture, 4, 1 / 16, 5) == 1
-        )
-        assert aggregates.median(device, texture, 4, 1 / 16, 5) == 6
+        assert _order_statistic(
+            device, texture, "maximum", 4, 1 / 16, 5
+        ) == 9
+        assert _order_statistic(
+            device, texture, "minimum", 4, 1 / 16, 5
+        ) == 1
+        assert _order_statistic(
+            device, texture, "median", 4, 1 / 16, 5
+        ) == 6
 
     def test_kth_smallest_complement(self):
         values = np.array([10, 20, 30, 40])
         device, texture = _setup(values)
-        got = aggregates.kth_smallest(
-            device, texture, 6, 2, 1 / 64, valid_count=4
+        assert aggregates.order_ranks("kth_smallest", 4, k=2) == [3]
+        got = _order_statistic(
+            device, texture, "kth_smallest", 6, 1 / 64, 4, k=2
         )
         assert got == 20
 
     def test_kth_smallest_validation(self):
-        device, texture = _setup(np.arange(4))
-        with pytest.raises(QueryError):
-            aggregates.kth_smallest(
-                device, texture, BITS, 5, SCALE, valid_count=4
-            )
+        with pytest.raises(QueryError, match=r"k=5 outside \[1, 4\]"):
+            aggregates.order_ranks("kth_smallest", 4, k=5)
 
     def test_median_empty_rejected(self):
-        device, texture = _setup(np.arange(4))
+        with pytest.raises(QueryError, match="median of an empty"):
+            aggregates.order_ranks("median", 0)
+
+
+class TestOrderRanks:
+    """The one rank rule every engine and the shard layer share."""
+
+    def test_extremes_and_median(self):
+        assert aggregates.order_ranks("maximum", 7) == [1]
+        assert aggregates.order_ranks("minimum", 7) == [7]
+        assert aggregates.order_ranks("median", 7) == [4]
+        assert aggregates.order_ranks("median", 8) == [4]
+
+    def test_k_ops(self):
+        assert aggregates.order_ranks("kth_largest", 9, k=2) == [2]
+        assert aggregates.order_ranks("top_k", 9, k=9) == [9]
+        assert aggregates.order_ranks("kth_smallest", 9, k=1) == [9]
+
+    def test_quantiles_clamp_into_the_selection(self):
+        ranks = aggregates.order_ranks(
+            "quantiles", 10, fractions=[0.0, 0.25, 0.5, 1.0]
+        )
+        assert ranks == [10, 8, 5, 1]
+
+    @pytest.mark.parametrize(
+        "op, label",
+        [("minimum", "MIN"), ("maximum", "MAX"),
+         ("quantiles", "quantiles")],
+    )
+    def test_empty_selection_rejected(self, op, label):
+        with pytest.raises(QueryError, match=f"{label} of an empty"):
+            aggregates.order_ranks(op, 0, fractions=[0.5])
+
+    def test_not_an_order_statistic(self):
         with pytest.raises(QueryError):
-            aggregates.median(device, texture, BITS, SCALE, 0)
+            aggregates.order_ranks("sum", 5)
+
+
+class TestBitSearch:
+    @given(
+        values=st.lists(st.integers(0, 255), min_size=1, max_size=80),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_host_count_finds_every_rank(self, values, data):
+        """Lemma 1 needs only a count: any ``count_at_least`` callback
+        (a summed shard count, a host count) finds the k-th largest."""
+        ks = data.draw(
+            st.lists(st.integers(1, len(values)), min_size=1, max_size=4)
+        )
+        array = np.array(values)
+        got = aggregates.bit_search(
+            8, ks, lambda x: int(np.count_nonzero(array >= x))
+        )
+        ordered = sorted(values, reverse=True)
+        assert got == [ordered[k - 1] for k in ks]
+
+    def test_one_count_per_bit_per_rank(self):
+        probes = []
+
+        def count(x):
+            probes.append(x)
+            return 1
+
+        aggregates.bit_search(5, [1, 1], count)
+        assert len(probes) == 10
 
 
 class TestAccumulator:
@@ -191,17 +264,6 @@ class TestCountAndAverage:
         assert (
             aggregates.count_valid(device, 10, valid_stencil=1) == 5
         )
-
-    def test_average(self):
-        values = np.array([2, 4, 6, 8])
-        device, texture = _setup(values)
-        assert aggregates.average(device, texture, BITS) == 5.0
-
-    def test_average_empty_rejected(self):
-        device, texture = _setup(np.array([5]))
-        _mask_stencil(device, texture, np.array([False]))
-        with pytest.raises(QueryError):
-            aggregates.average(device, texture, BITS, valid_stencil=1)
 
 
 class TestMipmapSum:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import Column, CpuEngine, GpuEngine, Relation, col
 from repro.core import aggregates
+from repro.core.compare import copy_to_depth
 from repro.errors import QueryError
 from repro.gpu import Device, Texture
 
@@ -25,15 +26,24 @@ def _engines(seed=15, records=2000, bits=12):
     return relation, GpuEngine(relation), CpuEngine(relation)
 
 
+def _ladder(device, texture, bits, ks, scale, channel):
+    """One depth copy, then one bit search per rank — the quantile
+    ladder's pass structure."""
+    copy_to_depth(device, texture, scale, channel=channel)
+    aggregates.arm_search(device, None)
+    return aggregates.bit_search(
+        bits, ks,
+        lambda x: aggregates.count_geq(device, texture, bits, x),
+    )
+
+
 class TestKthLargestMulti:
     def test_matches_single_k_calls(self):
         relation, gpu, _cpu = _engines()
         texture, scale, channel = gpu.column_texture("v")
         bits = relation.column("v").bits
         ks = [1, 7, 500, 2000]
-        multi = aggregates.kth_largest_multi(
-            gpu.device, texture, bits, ks, scale, channel=channel
-        )
+        multi = _ladder(gpu.device, texture, bits, ks, scale, channel)
         singles = [
             aggregates.kth_largest(
                 gpu.device, texture, bits, k, scale, channel=channel
@@ -45,29 +55,30 @@ class TestKthLargestMulti:
     def test_single_copy_pass(self):
         relation, gpu, _cpu = _engines()
         texture, scale, channel = gpu.column_texture("v")
+        bits = relation.column("v").bits
         gpu.device.stats.reset()
-        aggregates.kth_largest_multi(
-            gpu.device, texture, relation.column("v").bits,
-            [1, 10, 100], scale, channel=channel,
-        )
+        _ladder(gpu.device, texture, bits, [1, 10, 100], scale, channel)
         copies = [
             p
             for p in gpu.device.stats.passes
             if (p.program or "").startswith("copy-to-depth")
         ]
         assert len(copies) == 1
+        assert len(gpu.device.stats.passes) == 1 + 3 * bits
 
     def test_validation(self):
         device = Device(2, 2)
         texture = Texture.from_values(np.arange(4), shape=(2, 2))
+        device.stats.reset()
+        # No ranks: nothing to search, no pass rendered.
+        assert aggregates.bit_search(
+            2, [],
+            lambda x: aggregates.count_geq(device, texture, 2, x),
+        ) == []
+        assert device.stats.passes == []
+        # Ranks come from the rank rule, which rejects k < 1.
         with pytest.raises(QueryError):
-            aggregates.kth_largest_multi(
-                device, texture, 2, [], 0.25
-            )
-        with pytest.raises(QueryError):
-            aggregates.kth_largest_multi(
-                device, texture, 2, [0], 0.25
-            )
+            aggregates.order_ranks("kth_largest", 4, k=0)
 
 
 class TestEngineQuantiles:

@@ -285,15 +285,13 @@ class TestErrorPaths:
         engine.unregister("never-registered")
         assert engine.queries == ["keep"]
 
-    def test_fault_without_executor_propagates(self, monkeypatch):
+    def test_fault_without_executor_propagates(self):
         engine = _engine()
         engine.register(ContinuousQuery("med", "median", column="v"))
-
-        def boom(*_args, **_kwargs):
-            raise DeviceLostError("median pass lost")
-
-        monkeypatch.setattr("repro.core.aggregates.median", boom)
-        with pytest.raises(DeviceLostError):
+        plan = FaultPlan(
+            [FaultRule(FaultKind.DEVICE_LOST, max_fires=None)]
+        )
+        with use_faults(plan), pytest.raises(DeviceLostError):
             engine.append(
                 {
                     "v": np.arange(20) % 256,
@@ -310,27 +308,31 @@ class TestResilience:
         )
         return engine, executor
 
-    def test_one_query_degrades_while_others_proceed(
-        self, monkeypatch
-    ):
+    def test_one_query_degrades_while_others_proceed(self):
         engine, executor = self._resilient_engine()
         engine.register(ContinuousQuery("n", "count"))
         engine.register(
             ContinuousQuery("hot", "count", predicate=col("v") >= 200)
         )
         engine.register(ContinuousQuery("med", "median", column="v"))
-
-        def boom(*_args, **_kwargs):
-            raise DeviceLostError("median pass lost")
-
-        monkeypatch.setattr("repro.core.aggregates.median", boom)
-        values = (np.arange(50) * 7) % 256
-        tick = engine.append(
-            {"v": values, "g": np.zeros(50, dtype=np.int64)}
+        # "hot" harvests exactly one occlusion result; every later one
+        # (all of the median's) is lost.
+        plan = FaultPlan(
+            [
+                FaultRule(
+                    FaultKind.OCCLUSION, start_after=1, max_fires=None
+                )
+            ],
+            stats=executor.stats,
         )
+        values = (np.arange(50) * 7) % 256
+        with use_faults(plan):
+            tick = engine.append(
+                {"v": values, "g": np.zeros(50, dtype=np.int64)}
+            )
 
         assert list(tick.degraded) == ["med"]
-        assert "DeviceLostError" in tick.degraded["med"]
+        assert "OcclusionTimeoutError" in tick.degraded["med"]
         # The degraded query still answers — host-side, exactly.
         descending = np.sort(values)[::-1]
         assert tick.results["med"] == int(
@@ -406,3 +408,100 @@ class TestResilience:
         window = np.concatenate([first, second])[-40:]
         assert clean_tick.degraded == {}
         assert clean_tick.results["hot"] == int((window >= 50).sum())
+
+
+#: Every continuous-query kind, and the predicates a degraded tick is
+#: checked under: none, a selective one, and one that selects nothing.
+_KINDS = (
+    "count",
+    "selectivity",
+    "sum",
+    "average",
+    "minimum",
+    "maximum",
+    "median",
+    "kth_largest",
+)
+_PREDICATES = {
+    "all": None,
+    "hot": col("v") >= 100,
+    "none": col("g") > 7,
+}
+
+
+def _expected(kind, selected, window, k):
+    """The numpy oracle under the stream's result conventions."""
+    if kind == "count":
+        return selected.size
+    if kind == "selectivity":
+        return selected.size / window
+    if selected.size == 0 or (kind == "kth_largest" and k > selected.size):
+        return None
+    descending = np.sort(selected)[::-1]
+    if kind == "sum":
+        return int(selected.sum())
+    if kind == "average":
+        return int(selected.sum()) / selected.size
+    if kind == "minimum":
+        return int(descending[-1])
+    if kind == "maximum":
+        return int(descending[0])
+    if kind == "median":
+        return int(descending[(selected.size + 1) // 2 - 1])
+    return int(descending[k - 1])
+
+
+class TestDegradeCoverage:
+    """A persistent device loss degrades every query that renders a
+    pass; the host recompute must give the GPU path's answer for every
+    kind, with and without a predicate, ``None`` cases included."""
+
+    @pytest.mark.parametrize("where", sorted(_PREDICATES))
+    def test_every_kind_recomputes_host_side(self, where):
+        executor = ResilientExecutor()
+        engine = StreamEngine(
+            [("v", 8), ("g", 3)], capacity=60, executor=executor
+        )
+        predicate = _PREDICATES[where]
+        queries = [
+            ContinuousQuery(
+                kind, kind,
+                column=None if kind in ("count", "selectivity") else "v",
+                predicate=predicate,
+                k=5 if kind == "kth_largest" else None,
+            )
+            for kind in _KINDS
+        ]
+        # k beyond the window (and any selection) answers None.
+        queries.append(
+            ContinuousQuery(
+                "k_too_big", "kth_largest", column="v",
+                predicate=predicate, k=1000,
+            )
+        )
+        for query in queries:
+            engine.register(query)
+        rng = np.random.default_rng(11)
+        batch = _batch(rng, 40)
+        plan = FaultPlan(
+            [FaultRule(FaultKind.DEVICE_LOST, max_fires=None)],
+            stats=executor.stats,
+        )
+        with use_faults(plan):
+            tick = engine.append(batch)
+
+        mask = (
+            np.ones(40, dtype=bool) if predicate is None
+            else predicate.mask(engine.window_relation())
+        )
+        selected = np.asarray(batch["v"])[mask]
+        for query in queries:
+            assert tick.results[query.name] == _expected(
+                query.kind, selected, 40, query.k
+            ), query.name
+        # Queries that render no pass never touch the faulty device.
+        passless = (
+            {"count", "selectivity", "k_too_big"}
+            if predicate is None else set()
+        )
+        assert set(tick.degraded) == {q.name for q in queries} - passless

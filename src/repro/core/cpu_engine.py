@@ -95,8 +95,16 @@ class CpuOpResult:
 
 @dataclasses.dataclass
 class CpuSelection(CpuOpResult):
-    mask: np.ndarray = None
+    #: The selection, one bit per record (``np.packbits`` order): a
+    #: result lives as long as its answer, so it keeps an eighth of a
+    #: boolean mask.
+    bits: np.ndarray = None
     total_records: int = 0
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The selection as one bool per record."""
+        return np.unpackbits(self.bits, count=self.total_records).view(bool)
 
     @property
     def count(self) -> int:
@@ -155,7 +163,7 @@ class CpuEngine:
         return self._finish(span, CpuSelection(
             value=int(np.count_nonzero(mask)),
             modeled_s=modeled,
-            mask=mask,
+            bits=np.packbits(mask),
             total_records=records,
         ))
 

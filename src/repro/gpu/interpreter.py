@@ -20,6 +20,7 @@ Faithfulness notes:
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -48,8 +49,10 @@ class FragmentBatch:
     #: Number of fragments in the batch.
     count: int
     #: Interpolated attributes, keyed by :class:`FragmentAttrib`;
-    #: each value is ``(count, 4)`` float32.
-    attributes: dict
+    #: each value is ``(count, 4)`` float32.  The rasterizer's are
+    #: read-only, shared and built on first access
+    #: (:class:`~repro.gpu.raster.QuadAttributes`).
+    attributes: Mapping
     #: Hashable identity of the quad geometry that produced this batch
     #: (rect + screen + texture dims), or ``None`` for hand-built
     #: batches.  The JIT memoizes geometry-determined texture fetches
@@ -65,13 +68,19 @@ class FragmentBatch:
                 "by the rasterizer"
             ) from None
 
+    def column(self, attrib: FragmentAttrib, component: int) -> np.ndarray:
+        """One component of an attribute as a ``(count,)`` view."""
+        return self.attribute(attrib)[:, component]
+
 
 @dataclasses.dataclass
 class ProgramResult:
     """Outputs of executing a program over a fragment batch."""
 
-    #: ``(count, 4)`` final fragment colors.
-    color: np.ndarray
+    #: Final fragment color as four ``(count,)`` float32 columns
+    #: (r, g, b, a), possibly read-only views; ``None`` for a channel no
+    #: later stage observes (the JIT does not compute those).
+    channels: tuple
     #: ``(count,)`` fragment depth values, or None when the program did
     #: not write ``o[DEPR]`` (the rasterized depth is used instead).
     depth: np.ndarray | None
@@ -80,6 +89,16 @@ class ProgramResult:
     #: Total instructions executed (count * program length) — feeds the
     #: cost model.
     instructions_executed: int
+
+    @property
+    def color(self) -> np.ndarray:
+        """The color as one ``(count, 4)`` array; unobserved channels
+        read as 0."""
+        color = np.zeros((self.killed.size, 4), dtype=np.float32)
+        for channel, column in enumerate(self.channels):
+            if column is not None:
+                color[:, channel] = column
+        return color
 
 
 class ProgramInterpreter:
@@ -163,9 +182,9 @@ class ProgramInterpreter:
             # A program that never writes o[COLR] passes the interpolated
             # primary color through (needed so the alpha test still has a
             # defined alpha for depth-only programs).
-            out_color = batch.attribute(FragmentAttrib.COL0).copy()
+            out_color = batch.attribute(FragmentAttrib.COL0)
         return ProgramResult(
-            color=out_color,
+            channels=tuple(out_color[:, channel] for channel in range(4)),
             depth=out_depth,
             killed=killed,
             instructions_executed=program.num_instructions * count,

@@ -42,7 +42,7 @@ from .occlusion import OcclusionQuery
 from .raster import Rect, full_screen, rasterize_rect, rects_for_count
 from .state import RenderState
 from .texture import Texture
-from .types import StencilOp
+from .types import STENCIL_MAX, StencilOp
 
 
 class Device:
@@ -208,6 +208,8 @@ class Device:
         texture.data[:] = fb.color.data[:, :channels].reshape(
             fb.height, fb.width, channels
         )
+        # New texel contents: caches keyed by generation must miss.
+        texture.generation += 1
         stats = PassStats(
             index=self._pass_counter,
             fragments=fb.num_pixels,
@@ -374,22 +376,31 @@ class Device:
         indices, batch = rasterize_rect(
             rect, fb.width, fb.height, depth, tuple(color)
         )
-        stats.fragments += batch.count
+        count = batch.count
+        stats.fragments += count
+        # Where the rect's pixels live in the buffers: a slice when they
+        # form one contiguous range (reads are views, not gathers),
+        # else the gather indices.
+        span = rect.span(fb.width)
+        at = indices if span is None else span
 
         state = self.state
 
         # Stage 1: fragment program (or fixed-function passthrough).
+        frag_depth = None
         if self._program is not None:
             if self.jit:
-                # Whether any downstream stage observes the fragment
-                # color decides which compiled variant runs (color
-                # writes are dead code otherwise).
-                need_color = state.alpha.enabled or any(
-                    state.color_mask
+                # The color channels a later stage observes (alpha
+                # test, open color-mask channels) pick the compiled
+                # variant; the others are dead code.
+                observed = tuple(
+                    state.color_mask[c]
+                    or (c == 3 and state.alpha.enabled)
+                    for c in range(4)
                 )
                 kernel = self.kernels.get_or_bind(
                     self._program,
-                    need_color,
+                    observed,
                     self._textures,
                     self._parameters,
                 )
@@ -399,11 +410,8 @@ class Device:
                     self._textures, self._parameters
                 )
                 result = interpreter.run(self._program, batch)
-            frag_color = result.color
-            if result.depth is not None:
-                frag_depth = result.depth
-            else:
-                frag_depth = batch.attributes[FragmentAttrib.WPOS][:, 2]
+            frag_channels = result.channels
+            frag_depth = result.depth
             alive = ~result.killed
             stats.program = self._program.name
             stats.program_length = self._program.num_instructions
@@ -411,55 +419,57 @@ class Device:
             stats.writes_depth_from_program = self._program.writes_depth
             stats.killed += int(np.count_nonzero(result.killed))
         else:
-            frag_color = batch.attributes[FragmentAttrib.COL0]
-            frag_depth = batch.attributes[FragmentAttrib.WPOS][:, 2]
-            alive = np.ones(batch.count, dtype=bool)
+            col0 = batch.attributes[FragmentAttrib.COL0]
+            frag_channels = tuple(col0[:, c] for c in range(4))
+            alive = np.ones(count, dtype=bool)
 
         # Stage 2: alpha test.
         if state.alpha.enabled:
             alpha_pass = state.alpha.func.apply(
-                frag_color[:, 3], np.float32(state.alpha.reference)
+                frag_channels[3], np.float32(state.alpha.reference)
             )
             stats.alpha_failed += int(np.count_nonzero(alive & ~alpha_pass))
-            alive = alive & alpha_pass
+            alive &= alpha_pass
 
         # Stage 3: stencil test.  GL convention: the test passes when
-        # ``(ref & mask) func (stencil & mask)``.
-        stencil_values = fb.stencil.read(indices)
+        # ``(ref & mask) func (stencil & mask)``; uint8 throughout.
         if state.stencil.enabled:
-            masked_ref = np.full(
-                batch.count,
-                state.stencil.reference & state.stencil.mask,
-                dtype=np.int64,
+            mask = np.uint8(state.stencil.mask)
+            stored = fb.stencil.values[at]
+            if mask != STENCIL_MAX:
+                stored = stored & mask
+            masked_ref = np.broadcast_to(
+                np.uint8(state.stencil.reference) & mask, (count,)
             )
-            masked_stored = (
-                stencil_values.astype(np.int64) & state.stencil.mask
-            )
-            stencil_pass = state.stencil.func.apply(masked_ref, masked_stored)
+            stencil_pass = state.stencil.func.apply(masked_ref, stored)
             sfail = alive & ~stencil_pass
             stats.stencil_failed += int(np.count_nonzero(sfail))
-            self._apply_stencil_op(
-                state.stencil.sfail, indices, sfail, stats
-            )
-            alive = alive & stencil_pass
+            self._apply_stencil_op(state.stencil.sfail, at, sfail, stats)
+            alive &= stencil_pass
 
         # Stage 4: depth-bounds test against the *stored* depth
         # (EXT_depth_bounds_test).  Failures are discarded outright.
         if state.depth_bounds.enabled:
-            stored = fb.depth.read_codes(indices)
+            stored = fb.depth.codes[at]
             low = depth_to_code(state.depth_bounds.zmin)
             high = depth_to_code(state.depth_bounds.zmax)
             bounds_pass = (stored >= low) & (stored <= high)
             stats.depth_bounds_failed += int(
                 np.count_nonzero(alive & ~bounds_pass)
             )
-            alive = alive & bounds_pass
+            alive &= bounds_pass
 
-        # Stage 5: depth test.
-        frag_codes = depth_to_code(frag_depth)
+        # Stage 5: depth test.  A quad whose depth the program does not
+        # write has one depth for every fragment: one code, broadcast.
+        if frag_depth is None:
+            frag_codes = np.broadcast_to(
+                depth_to_code(np.float32(depth)), (count,)
+            )
+        else:
+            frag_codes = depth_to_code(frag_depth)
         early_z_survivors: int | None = None
         if state.depth.enabled:
-            stored = fb.depth.read_codes(indices)
+            stored = fb.depth.codes[at]
             depth_pass = state.depth.func.apply(frag_codes, stored)
             # Early-z hardware would evaluate this same comparison before
             # shading; capture it pre-write for the cost model.
@@ -467,18 +477,16 @@ class Device:
             zfail = alive & ~depth_pass
             stats.depth_failed += int(np.count_nonzero(zfail))
             if state.stencil.enabled:
-                self._apply_stencil_op(
-                    state.stencil.zfail, indices, zfail, stats
-                )
-            alive = alive & depth_pass
+                self._apply_stencil_op(state.stencil.zfail, at, zfail, stats)
+            alive &= depth_pass
             if state.depth.write:
-                writers = np.flatnonzero(alive)
-                fb.depth.write_codes(indices[writers], frag_codes[writers])
-                stats.depth_writes += writers.size
-                if writers.size:
+                writes = int(np.count_nonzero(alive))
+                if writes:
+                    _store(fb.depth.codes, at, alive, frag_codes, writes)
                     self.depth_generation += 1
+                stats.depth_writes += writes
         if state.stencil.enabled:
-            self._apply_stencil_op(state.stencil.zpass, indices, alive, stats)
+            self._apply_stencil_op(state.stencil.zpass, at, alive, stats)
 
         # Stage 6: occlusion counting and color write.
         passed = int(np.count_nonzero(alive))
@@ -486,28 +494,33 @@ class Device:
         if self._active_query is not None and self._active_query.active:
             self._active_query._add(passed)
         if any(state.color_mask):
-            writers = np.flatnonzero(alive)
-            fb.color.write(
-                indices[writers], frag_color[writers], state.color_mask
-            )
-            stats.color_writes += writers.size * sum(state.color_mask)
+            for channel in range(4):
+                if state.color_mask[channel]:
+                    _store(
+                        fb.color.data[:, channel],
+                        at,
+                        alive,
+                        frag_channels[channel],
+                        passed,
+                    )
+            stats.color_writes += passed * sum(state.color_mask)
 
-        self._accumulate_early_z(stats, early_z_survivors, batch.count)
+        self._accumulate_early_z(stats, early_z_survivors, count)
 
     def _apply_stencil_op(
         self,
         op: StencilOp,
-        indices: np.ndarray,
+        at: np.ndarray | slice,
         mask: np.ndarray,
         stats: PassStats,
     ) -> None:
         if op is StencilOp.KEEP:
             return
-        targets = np.flatnonzero(mask)
-        if targets.size == 0:
+        writes = int(np.count_nonzero(mask))
+        if writes == 0:
             return
-        fb = self.framebuffer
-        current = fb.stencil.read(indices[targets])
+        values = self.framebuffer.stencil.values
+        current = values[at]
         updated = op.apply(current, self.state.stencil.reference)
         write_mask = self.state.stencil.write_mask
         if write_mask != 0xFF:
@@ -516,9 +529,9 @@ class Device:
             updated = (current & keep_bits) | (
                 updated & np.uint8(write_mask)
             )
-        fb.stencil.write(indices[targets], updated)
+        _store(values, at, mask, updated, writes)
         self.stencil_generation += 1
-        stats.stencil_writes += targets.size
+        stats.stencil_writes += writes
 
     def _accumulate_early_z(
         self,
@@ -550,3 +563,34 @@ class Device:
         stats.instructions_after_early_z += (
             stats.program_length * early_z_survivors
         )
+
+
+def _store(
+    buffer: np.ndarray,
+    at: np.ndarray | slice,
+    mask: np.ndarray,
+    values: np.ndarray,
+    writes: int,
+) -> None:
+    """Write the ``mask``-selected fragments' ``values`` (``writes`` of
+    them) into ``buffer`` at the pixels of a rect addressed by ``at``:
+    its gather indices, or its span, written in place."""
+    if not isinstance(at, slice):
+        picked = np.flatnonzero(mask)
+        buffer[at[picked]] = values[picked]
+        return
+    view = buffer[at]
+    if writes == mask.size:
+        view[...] = values
+        return
+    # A branch-free select on the raw bits, view ^= (view ^ values) &
+    # -mask: masked stores with no data-dependent branch per fragment.
+    bits = np.dtype(f"u{view.itemsize}")
+    select = mask.astype(bits)
+    np.negative(select, out=select)
+    raw = view.view(bits)
+    diff = np.bitwise_xor(
+        raw, np.asarray(values, dtype=view.dtype).view(bits)
+    )
+    diff &= select
+    raw ^= diff

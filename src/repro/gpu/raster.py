@@ -4,7 +4,8 @@ The paper's computation model renders a "single quadrilateral that covers
 the window" so that texels line up one-to-one with pixels (section 3.3).
 This module turns such a quad into a :class:`FragmentBatch`: linear pixel
 indices plus interpolated attributes (window position, texture
-coordinates at texel centers, primary color).
+coordinates at texel centers, primary color), built lazily and shared
+read-only so a pass pays only for the attributes its program reads.
 
 Hardware rasterizes rectangles, not arbitrary index sets, so a relation
 whose record count does not fill its texture exactly is covered by *two*
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -50,6 +52,15 @@ class Rect:
     def num_pixels(self) -> int:
         return self.width * self.height
 
+    def span(self, screen_width: int) -> slice | None:
+        """The row-major pixel-index range the rect covers when that is
+        one contiguous range (full-width rows, or a single row) — so
+        its buffers read as a slice, not a gather — else ``None``."""
+        if self.height > 1 and (self.x0 or self.x1 != screen_width):
+            return None
+        start = self.y0 * screen_width + self.x0
+        return slice(start, start + self.num_pixels)
+
 
 def full_screen(height: int, width: int) -> Rect:
     return Rect(0, 0, width, height)
@@ -75,6 +86,18 @@ def rects_for_count(count: int, width: int, height: int) -> list[Rect]:
     return rects
 
 
+#: The texture-coordinate attributes: one shared array per quad, a pure
+#: function of its geometry (the JIT memoizes fetches through them).
+TEXCOORD_ATTRIBS = frozenset(
+    {
+        FragmentAttrib.TEX0,
+        FragmentAttrib.TEX1,
+        FragmentAttrib.TEX2,
+        FragmentAttrib.TEX3,
+    }
+)
+
+
 @functools.lru_cache(maxsize=8)
 def _geometry(
     rect: Rect,
@@ -82,32 +105,82 @@ def _geometry(
     screen_height: int,
     tex_height: int,
     tex_width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Geometry-determined arrays for one quad: linear pixel indices,
-    texel-center coordinates and normalized texcoords.  These repeat
-    identically for every pass over the same rect, so they are cached
-    (read-only — consumers must not mutate) and shared; only the
-    per-pass WPOS depth and primary color are built fresh."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geometry-determined arrays for one quad: linear pixel indices and
+    normalized texcoords at texel centers.  These repeat identically for
+    every pass over the same rect, so they are cached (read-only —
+    consumers must not mutate) and shared."""
     xs = np.arange(rect.x0, rect.x1, dtype=np.int64)
     ys = np.arange(rect.y0, rect.y1, dtype=np.int64)
     grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
     pixel_x = grid_x.ravel()
     pixel_y = grid_y.ravel()
     indices = pixel_y * screen_width + pixel_x
-    count = indices.size
 
-    centers_x = pixel_x.astype(np.float32) + np.float32(0.5)
-    centers_y = pixel_y.astype(np.float32) + np.float32(0.5)
-
-    texcoord = np.empty((count, 4), dtype=np.float32)
-    texcoord[:, 0] = centers_x / np.float32(tex_width)
-    texcoord[:, 1] = centers_y / np.float32(tex_height)
+    texcoord = np.empty((indices.size, 4), dtype=np.float32)
+    texcoord[:, 0] = _centers(pixel_x) / np.float32(tex_width)
+    texcoord[:, 1] = _centers(pixel_y) / np.float32(tex_height)
     texcoord[:, 2] = 0.0
     texcoord[:, 3] = 1.0
 
-    for array in (indices, centers_x, centers_y, texcoord):
+    for array in (indices, texcoord):
         array.setflags(write=False)
-    return indices, centers_x, centers_y, texcoord
+    return indices, texcoord
+
+
+def _centers(pixels: np.ndarray) -> np.ndarray:
+    return pixels.astype(np.float32) + np.float32(0.5)
+
+
+class QuadAttributes(Mapping):
+    """The interpolated inputs of one quad, read-only and built lazily.
+
+    Texture coordinates come from the cached quad geometry (all four
+    sets are identical).  ``COL0`` is the quad's constant color
+    broadcast over every fragment — one row, no per-fragment storage.
+    ``WPOS`` is only materialized when something reads it: its ``.xy``
+    are pixel centers and its ``.z`` the constant quad depth, so the
+    pipeline never needs it (it tests the quad depth as one code).
+    """
+
+    def __init__(self, rect: Rect, texcoord, depth, color):
+        self._rect = rect
+        self._texcoord = texcoord
+        self._depth = depth
+        row = np.asarray(color, dtype=np.float32)
+        row.setflags(write=False)
+        self._col0 = np.broadcast_to(row, texcoord.shape)
+        self._wpos = None
+
+    def __getitem__(self, attrib: FragmentAttrib) -> np.ndarray:
+        if attrib in TEXCOORD_ATTRIBS:
+            return self._texcoord
+        if attrib is FragmentAttrib.COL0:
+            return self._col0
+        if attrib is FragmentAttrib.WPOS:
+            if self._wpos is None:
+                self._wpos = self._window_positions()
+            return self._wpos
+        raise KeyError(attrib)
+
+    def __iter__(self):
+        return iter(FragmentAttrib)
+
+    def __len__(self) -> int:
+        return len(FragmentAttrib)
+
+    def _window_positions(self) -> np.ndarray:
+        rect = self._rect
+        xs = np.arange(rect.x0, rect.x1, dtype=np.int64)
+        ys = np.arange(rect.y0, rect.y1, dtype=np.int64)
+        wpos = np.empty((rect.num_pixels, 4), dtype=np.float32)
+        wpos[:, 0] = np.tile(_centers(xs), rect.height)
+        wpos[:, 1] = np.repeat(_centers(ys), rect.width)
+        wpos[:, 2] = self._depth
+        wpos[:, 3] = 1.0
+        wpos.setflags(write=False)
+        return wpos
+
 
 
 def rasterize_rect(
@@ -128,7 +201,8 @@ def rasterize_rect(
     texture sized like the screen (the paper's alignment contract).  All
     four texcoord sets (TEX0..TEX3) receive identical coordinates, which
     is how multi-texture passes address the same record in several
-    attribute textures.
+    attribute textures.  Every attribute array is read-only and shared
+    (see :class:`QuadAttributes`).
     """
     if rect.x1 > screen_width or rect.y1 > screen_height:
         raise GpuError(
@@ -140,26 +214,8 @@ def rasterize_rect(
     else:
         tex_height, tex_width = tex_size
     token = (rect, screen_width, screen_height, tex_height, tex_width)
-    indices, centers_x, centers_y, texcoord = _geometry(*token)
-    count = indices.size
-
-    wpos = np.empty((count, 4), dtype=np.float32)
-    wpos[:, 0] = centers_x
-    wpos[:, 1] = centers_y
-    wpos[:, 2] = np.float32(depth)
-    wpos[:, 3] = 1.0
-
-    col0 = np.empty((count, 4), dtype=np.float32)
-    col0[:] = np.asarray(color, dtype=np.float32)
-
-    attributes = {
-        FragmentAttrib.WPOS: wpos,
-        FragmentAttrib.TEX0: texcoord,
-        FragmentAttrib.TEX1: texcoord,
-        FragmentAttrib.TEX2: texcoord,
-        FragmentAttrib.TEX3: texcoord,
-        FragmentAttrib.COL0: col0,
-    }
+    indices, texcoord = _geometry(*token)
+    attributes = QuadAttributes(rect, texcoord, np.float32(depth), color)
     return indices, FragmentBatch(
-        count=count, attributes=attributes, geometry_token=token
+        count=indices.size, attributes=attributes, geometry_token=token
     )

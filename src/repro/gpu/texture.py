@@ -33,6 +33,17 @@ _BYTES_PER_CHANNEL = 4
 _next_texture_id = 0
 
 
+#: Where each RGBA channel of a fetched texel comes from, per channel
+#: count: a stored channel index, or the OpenGL fill constant.
+#: LUMINANCE replicates into RGB; LUMINANCE_ALPHA reads (L, 0, 0, A).
+_CHANNEL_SOURCES = {
+    1: (0, 0, 0, 1.0),
+    2: (0, 0.0, 0.0, 1),
+    3: (0, 1, 2, 1.0),
+    4: (0, 1, 2, 3),
+}
+
+
 def _allocate_texture_id() -> int:
     global _next_texture_id
     _next_texture_id += 1
@@ -229,26 +240,31 @@ class Texture:
     def fetch(self, texel_indices: np.ndarray) -> np.ndarray:
         """Texel fetch: gather RGBA values for linear texel indices.
 
-        Missing channels are filled per the OpenGL convention (0 for
-        colors, 1 for alpha) so the interpreter always sees vec4 texels.
+        Missing channels are filled per the OpenGL convention (see
+        :data:`_CHANNEL_SOURCES`) so the interpreter always sees vec4
+        texels.
         """
         flat = self.linear_view()[texel_indices]
         if self.channels == 4:
             return flat.astype(np.float32, copy=True)
-        out = np.zeros((flat.shape[0], 4), dtype=np.float32)
-        out[:, : self.channels] = flat
-        if self.channels < 4:
-            out[:, 3] = 1.0 if self.channels != 2 else flat[:, 1]
-        if self.channels == 2:
-            out[:, 1] = 0.0
-            out[:, 0] = flat[:, 0]
-        if self.channels == 1:
-            # LUMINANCE replicates into RGB.
-            out[:, 1] = flat[:, 0]
-            out[:, 2] = flat[:, 0]
-        if self.channels == 3:
-            out[:, 3] = 1.0
+        out = np.empty((flat.shape[0], 4), dtype=np.float32)
+        for channel, source in enumerate(_CHANNEL_SOURCES[self.channels]):
+            out[:, channel] = (
+                flat[:, source] if isinstance(source, int) else source
+            )
         return out
+
+    def fetch_channel(
+        self, texel_indices: np.ndarray, channel: int
+    ) -> np.ndarray:
+        """One channel of :meth:`fetch` as a ``(n,)`` float32 column; a
+        filled channel is a read-only broadcast of its constant."""
+        source = _CHANNEL_SOURCES[self.channels][channel]
+        if not isinstance(source, int):
+            return np.broadcast_to(np.float32(source), texel_indices.shape)
+        return self.linear_view()[texel_indices, source].astype(
+            np.float32, copy=False
+        )
 
     def write_texels(self, start: int, values: np.ndarray) -> int:
         """Overwrite a contiguous texel range (row-major from ``start``).

@@ -342,9 +342,9 @@ class Database:
             elif isinstance(node, CompareQuadPass) and (
                 node.detail.startswith("TestBit")
             ):
-                # The alpha test consumes the program's color output.
+                # The alpha test observes the program's alpha only.
                 text = kernel_summary(
-                    test_bit_program(), need_color=True
+                    test_bit_program(), observed=(False,) * 3 + (True,)
                 )
             else:
                 continue

@@ -57,6 +57,83 @@ class TestDepthQuantization:
         assert np.array_equal(depth_to_code(depths), codes)
 
 
+def _reference_codes(depths) -> np.ndarray:
+    """The float64 quantization every depth path must reproduce."""
+    d = np.asarray(depths, dtype=np.float64)
+    return np.clip(np.floor(d * float(1 << 24)), 0, DEPTH_MAX_CODE).astype(
+        np.uint32
+    )
+
+
+#: k / 2**b as float32, for every b <= 24 and 0 <= k <= 2**b.
+_dyadic = st.integers(0, 24).flatmap(
+    lambda b: st.integers(0, 1 << b).map(
+        lambda k: np.float32(k / float(1 << b))
+    )
+)
+
+
+class TestDepthToCodeFloat32:
+    """float32 depths are scaled in float32: multiplying by 2**24 only
+    shifts the exponent, so the codes must equal the float64
+    reference's bit for bit."""
+
+    def _check(self, values):
+        values = np.asarray(values, dtype=np.float32)
+        codes = depth_to_code(values)
+        assert codes.dtype == np.uint32
+        assert np.array_equal(codes, _reference_codes(values))
+        for value in values:
+            scalar = depth_to_code(value)
+            assert scalar.dtype == np.uint32
+            assert scalar == _reference_codes(value)
+
+    @given(value=_dyadic, toward=st.sampled_from([-np.inf, 0.0, 2.0, np.inf]))
+    def test_dyadic_values_and_neighbours(self, value, toward):
+        """k / 2**b for every b <= 24, and its float32 neighbours."""
+        self._check([value, np.nextafter(value, np.float32(toward))])
+
+    @given(
+        value=st.floats(
+            min_value=-np.finfo(np.float32).smallest_normal,
+            max_value=np.finfo(np.float32).smallest_normal,
+            width=32,
+        )
+    )
+    def test_subnormals(self, value):
+        self._check([value])
+
+    @given(
+        value=st.one_of(
+            st.floats(max_value=0.0, width=32, allow_nan=False),
+            st.floats(min_value=1.0, width=32, allow_nan=False),
+        )
+    )
+    def test_outside_the_unit_interval(self, value):
+        self._check([value])
+
+    @given(
+        values=st.lists(
+            st.floats(0.0, 1.0, width=32), min_size=1, max_size=64
+        )
+    )
+    def test_unit_interval_arrays(self, values):
+        self._check(values)
+
+    def test_pinned_edges(self):
+        edges = [0.0, -0.0, 1.0, np.finfo(np.float32).smallest_subnormal]
+        edges += [np.nextafter(np.float32(1.0), np.float32(0.0))]
+        edges += [np.float32(1 - 2.0**-24), np.float32(2.0**-24)]
+        self._check(edges)
+
+    def test_float64_and_python_inputs_keep_the_reference(self):
+        values = np.array([0.3, 1 / 3, 0.9999999999], dtype=np.float64)
+        codes = depth_to_code(values)
+        assert codes.dtype == np.uint32
+        assert np.array_equal(codes, _reference_codes(values))
+        assert depth_to_code(0.3) == _reference_codes(0.3)
+
+
 class TestFrameBuffer:
     def test_invalid_dims_rejected(self):
         with pytest.raises(FramebufferError):

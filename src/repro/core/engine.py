@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from ..faults import current_executor, run_guarded
 from ..gpu.context import ContextScheduler, VirtualContext
 from ..gpu.cost import GpuCostModel, GpuTime
 from ..gpu.counters import PipelineStats
+from ..gpu.jit import jit_requested
 from ..gpu.memory import VideoMemory
 from ..gpu.pipeline import Device
 from ..gpu.texture import Texture, texture_shape_for
@@ -99,13 +99,15 @@ def split_copy_stats(
     window: PipelineStats,
 ) -> tuple[PipelineStats, PipelineStats]:
     """Split a stats window into (copy passes, everything else)."""
-    copy = PipelineStats()
-    compute = PipelineStats()
-    for p in window.passes:
-        if p.program is not None and p.program.startswith(_COPY_PREFIX):
-            copy.record_pass(p)
+    copy_passes: list[int] = []
+    compute_passes: list[int] = []
+    for index, program in enumerate(window.programs):
+        if program is not None and program.startswith(_COPY_PREFIX):
+            copy_passes.append(index)
         else:
-            compute.record_pass(p)
+            compute_passes.append(index)
+    copy = window.take(copy_passes)
+    compute = window.take(compute_passes)
     compute.bytes_uploaded = window.bytes_uploaded
     compute.bytes_read_back = window.bytes_read_back
     compute.occlusion_results = window.occlusion_results
@@ -384,7 +386,7 @@ class GpuEngine:
             ensure_installed(force=bool(sanitize))
         self.shape = texture_shape_for(relation.num_records)
         if jit is None:
-            jit = os.environ.get("REPRO_JIT", "1") != "0"
+            jit = jit_requested()
         self.device = Device(
             *self.shape,
             video_memory=video_memory,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .counters import PipelineStats
+from .counters import COLUMN, PipelineStats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,6 +81,18 @@ class GpuTime:
 
 ZERO_TIME = GpuTime(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
+#: The pass-row columns :meth:`GpuCostModel.time` prices.
+_PRICED = [
+    COLUMN[name]
+    for name in (
+        "fragments",
+        "program_length",
+        "instructions_after_early_z",
+        "early_z_eligible",
+        "writes_depth_from_program",
+    )
+]
+
 
 @dataclasses.dataclass
 class GpuCostModel:
@@ -113,27 +125,32 @@ class GpuCostModel:
         return self.core_clock_hz * self.pixel_pipes
 
     def time(self, stats: PipelineStats) -> GpuTime:
-        """Price a statistics window."""
+        """Price a statistics window (pass rows in recorded order, so
+        the float clock totals round the same on every run)."""
         shading_clocks = 0.0
         depth_write_clocks = 0.0
-        for p in stats.passes:
-            if p.program_length == 0:
+        for (
+            fragments,
+            length,
+            after_early_z,
+            early_z_eligible,
+            writes_depth,
+        ) in stats.rows[:, _PRICED].tolist():
+            if length == 0:
                 # Fixed function: one clock per fragment through the ROPs.
-                shading_clocks += p.fragments
+                shading_clocks += fragments
             else:
-                if self.early_z and p.early_z_eligible:
-                    shaded = p.instructions_after_early_z // max(
-                        p.program_length, 1
-                    )
+                if self.early_z and early_z_eligible:
+                    shaded = after_early_z // max(length, 1)
                 else:
-                    shaded = p.fragments
-                rejected = p.fragments - shaded
+                    shaded = fragments
+                rejected = fragments - shaded
                 # Shaded fragments pay one clock per instruction; early-z
                 # rejected fragments still occupy the raster path for one.
-                shading_clocks += shaded * p.program_length + rejected
-            if p.writes_depth_from_program:
+                shading_clocks += shaded * length + rejected
+            if writes_depth:
                 depth_write_clocks += (
-                    p.fragments * self.depth_write_penalty_clocks
+                    fragments * self.depth_write_penalty_clocks
                 )
         throughput = self.fragments_per_second
         return GpuTime(

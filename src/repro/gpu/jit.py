@@ -46,6 +46,7 @@ the same float32 values, so results are bit-identical too.
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -65,6 +66,13 @@ from .isa import (
 )
 from .raster import TEXCOORD_ATTRIBS
 from .texture import Texture
+
+def jit_requested() -> bool:
+    """The default fragment-program backend of an engine's device
+    (``GpuEngine`` and ``StreamEngine``): the JIT, unless
+    ``REPRO_JIT=0``."""
+    return os.environ.get("REPRO_JIT", "1") != "0"
+
 
 _LANES = (0, 1, 2, 3)
 

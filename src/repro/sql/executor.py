@@ -721,8 +721,6 @@ class Database:
             else column.values[ids]
             for column in columns
         ]
-        rows = [
-            tuple(array[i].item() for array in arrays)
-            for i in range(ids.size)
-        ]
+        # tolist() yields Python ints/floats, as .item() would.
+        rows = list(zip(*(array.tolist() for array in arrays)))
         return rows, labels

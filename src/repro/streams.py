@@ -36,6 +36,7 @@ from .core.select import execute_selection
 from .errors import DataError, GpuError, QueryError
 from .faults import current_executor, run_guarded
 from .gpu.cost import GpuCostModel, GpuTime
+from .gpu.jit import jit_requested
 from .gpu.pipeline import Device
 from .gpu.texture import Texture, texture_shape_for
 
@@ -153,7 +154,7 @@ class StreamEngine:
         self.capacity = capacity
         self.schema = {column.name: column for column in columns}
         self.shape = texture_shape_for(capacity)
-        self.device = Device(*self.shape)
+        self.device = Device(*self.shape, jit=jit_requested())
         self.cost_model = cost_model or GpuCostModel()
         self.executor = (
             executor if executor is not None else current_executor()

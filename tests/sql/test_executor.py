@@ -160,3 +160,65 @@ class TestPlanSurface:
         assert result.plan.estimated_gpu_s > 0
         assert result.plan.estimated_cpu_s > 0
         assert result.device is result.plan.chosen_device
+
+
+def _reference_rows(relation, ids, names):
+    """Projection rows built one ``.item()`` per value."""
+    arrays = [
+        relation.column(name).values[ids].astype(np.int64)
+        if relation.column(name).is_integer
+        else relation.column(name).values[ids]
+        for name in names
+    ]
+    return [
+        tuple(array[i].item() for array in arrays) for i in range(ids.size)
+    ]
+
+
+class TestProjectRows:
+    """``Database._project`` builds rows with ``tolist``: the same
+    values and the same Python types as a per-value ``.item()``."""
+
+    @pytest.fixture(scope="class")
+    def relation(self):
+        rng = np.random.default_rng(5)
+        return Relation(
+            "p",
+            [
+                Column.integer("u", rng.integers(0, 1 << 20, 200)),
+                Column.integer("s", rng.integers(-500, 500, 200)),
+                Column.floating("f", rng.uniform(-3.0, 7.0, 200)),
+                Column.fixed_point("x", rng.uniform(0, 10, 200),
+                                   fraction_bits=4),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.arange(200), np.array([7, 3, 199, 0, 3]),
+         np.array([], dtype=np.int64)],
+        ids=["all", "some", "empty"],
+    )
+    def test_rows_and_types_match_item(self, relation, ids):
+        from repro.sql.ast import ColumnItem, StarItem
+
+        assert relation.column("s").bias > 0  # bias-encoded signed
+        names = relation.column_names
+        for items in (
+            [StarItem()],
+            [ColumnItem(name, name) for name in reversed(names)],
+        ):
+            rows, labels = Database._project(relation, ids, items)
+            wanted = [item.column for item in items if
+                      isinstance(item, ColumnItem)] or names
+            expected = _reference_rows(relation, ids, wanted)
+            assert labels == wanted
+            assert rows == expected
+            assert [tuple(map(type, row)) for row in rows] == [
+                tuple(map(type, row)) for row in expected
+            ]
+        rows, _ = Database._project(relation, ids, [StarItem()])
+        if ids.size:
+            assert tuple(map(type, rows[0])) == (int, int, float, float)
+        else:
+            assert rows == []

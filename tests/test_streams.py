@@ -1,5 +1,7 @@
 """Continuous queries over streams (the section 7 extension)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -505,3 +507,125 @@ class TestDegradeCoverage:
             if predicate is None else set()
         )
         assert set(tick.degraded) == {q.name for q in queries} - passless
+
+
+class TestJitDifferential:
+    """Stream ticks on the column JIT and on the interpreter: the same
+    answers, degradations, modeled cost and per-pass counters."""
+
+    @staticmethod
+    def _predicates():
+        from repro.core.predicates import SemiLinear
+        from repro.gpu.types import CompareFunc
+
+        return {
+            "all": None,
+            "hot": col("v") >= 100,
+            "cnf": (col("v") >= 40) & (col("g") < 5),
+            # Reads the packed RGBA texture rebuilt after every append.
+            "semi": SemiLinear(
+                ("v", "g"), (1.0, -10.0), CompareFunc.GEQUAL, 50.0
+            ),
+        }
+
+    @staticmethod
+    def _pair(capacity, queries, executors=(None, None)):
+        engines = []
+        for jit, executor in zip((True, False), executors):
+            engine = StreamEngine(
+                [("v", 8), ("g", 3)], capacity=capacity, executor=executor
+            )
+            engine.device.jit = jit
+            for query in queries:
+                engine.register(query)
+            engines.append(engine)
+        return engines
+
+    @staticmethod
+    def _assert_same_tick(jit_engine, jit_tick, interp_engine, interp_tick):
+        assert jit_tick.results == interp_tick.results
+        assert list(jit_tick.degraded) == list(interp_tick.degraded)
+        assert jit_tick.gpu_time == interp_tick.gpu_time
+        assert jit_engine.device.stats.passes == (
+            interp_engine.device.stats.passes
+        )
+
+    def test_default_backend_follows_repro_jit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT", "0")
+        assert not _engine().device.jit
+        monkeypatch.setenv("REPRO_JIT", "1")
+        assert _engine().device.jit
+        monkeypatch.delenv("REPRO_JIT")
+        assert _engine().device.jit
+
+    def test_every_kind_and_predicate_across_wraps(self):
+        queries = [
+            ContinuousQuery(
+                f"{kind}-{where}", kind,
+                column=None if kind in ("count", "selectivity") else "v",
+                predicate=predicate,
+                k=3 if kind == "kth_largest" else None,
+            )
+            for kind in _KINDS
+            for where, predicate in self._predicates().items()
+        ]
+        jit_engine, interp_engine = self._pair(48, queries)
+        rng = np.random.default_rng(15)
+        # 48-record ring: the second batch wraps, the last overfills.
+        for size in (30, 25, 0, 19, 40, 60):
+            batch = _batch(rng, size)
+            jit_tick = jit_engine.append(batch)
+            interp_tick = interp_engine.append(batch)
+            self._assert_same_tick(
+                jit_engine, jit_tick, interp_engine, interp_tick
+            )
+        relation = jit_engine.window_relation()
+        for query in queries:
+            mask = (
+                np.ones(relation.num_records, dtype=bool)
+                if query.predicate is None
+                else query.predicate.mask(relation)
+            )
+            selected = relation.column("v").values[mask].astype(np.int64)
+            assert jit_tick.results[query.name] == _expected(
+                query.kind, selected, relation.num_records, query.k
+            ), query.name
+        jit_kernels = jit_engine.device.kernels
+        interp_kernels = interp_engine.device.kernels
+        assert jit_kernels.hits + jit_kernels.misses > 0
+        assert interp_kernels.hits + interp_kernels.misses == 0
+
+    def test_fault_plan_degrades_one_query_alike(self):
+        queries = [
+            ContinuousQuery("n", "count"),
+            ContinuousQuery("hot", "count", predicate=col("v") >= 100),
+            ContinuousQuery("med", "median", column="v"),
+        ]
+        executors = (ResilientExecutor(), ResilientExecutor())
+        jit_engine, interp_engine = self._pair(40, queries, executors)
+        rng = np.random.default_rng(2)
+        for tick in range(3):
+            batch = _batch(rng, 25)
+            ticks = []
+            for engine, executor in zip(
+                (jit_engine, interp_engine), executors
+            ):
+                # "hot" harvests one occlusion result; every later one
+                # (all of the median's) is lost.
+                plan = FaultPlan(
+                    [FaultRule(
+                        FaultKind.OCCLUSION, start_after=1, max_fires=None
+                    )],
+                    stats=executor.stats,
+                )
+                faults = (
+                    use_faults(plan) if tick == 1
+                    else contextlib.nullcontext()
+                )
+                with faults:
+                    ticks.append(engine.append(batch))
+            self._assert_same_tick(
+                jit_engine, ticks[0], interp_engine, ticks[1]
+            )
+            assert list(ticks[0].degraded) == (["med"] if tick == 1 else [])
+        assert executors[0].stats.fallbacks == executors[1].stats.fallbacks
